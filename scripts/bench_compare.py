@@ -16,6 +16,10 @@ Host throughput (``instructions_per_second``) varies with the machine
 that produced the snapshot, so it is reported for information only
 unless ``--strict-throughput`` is given (useful when both snapshots
 come from the same runner class).
+
+A gated key the baseline records but the current snapshot lacks fails
+the comparison too, so a gate cannot vanish by a snapshot no longer
+writing it; a missing informational key is only skipped.
 """
 
 from __future__ import annotations
@@ -101,13 +105,11 @@ def compare(baseline: dict, current: dict, threshold: float, strict_throughput: 
 #: configs) and carry the default regression gate.
 _TIMING_SECTIONS = (
     ("timing_cycles_per_second", "timing", "cyc/s", False),
-    ("detailed_instructions_per_second", "detailed", "inst/s", False),
     ("timing_speedup", "timing speedup", "x", False),
-    ("detailed_speedup", "detailed speedup", "x", False),
     ("emulator_instructions_per_second", "emulator", "inst/s", False),
 )
 
-#: Scalar per-benchmark keys: geomean fast/reference speedups from
+#: Scalar per-benchmark keys: the geomean fast/reference speedup from
 #: ``scripts/bench_timing.py`` (gated — averaged across configs, so
 #: stable), plus the per-benchmark blocks-vs-fast emulator speedups
 #: from ``scripts/bench_emulator.py`` (informational — single-workload
@@ -115,7 +117,6 @@ _TIMING_SECTIONS = (
 #: manifest instead, see ``_emulator_geomean_lines``).
 _TIMING_GEOMEANS = (
     ("timing_speedup_geomean", "timing speedup (geomean)", True),
-    ("detailed_speedup_geomean", "detailed speedup (geomean)", True),
     ("blocks_speedup", "blocks speedup (vs fast)", False),
 )
 
@@ -156,9 +157,12 @@ def _timing_lines(baseline, current, threshold, strict_throughput, regressions):
                 f"  {cell[0]:<10s} {cell[1]:<20s} {label:<17s} {shown} ({delta:+6.1%}) {note}"
             )
     for key, label, gated in _TIMING_GEOMEANS:
-        for name in sorted(set(baseline["benchmarks"]) & set(current["benchmarks"])):
+        for name in sorted(baseline["benchmarks"]):
             base = baseline["benchmarks"][name].get(key)
-            cur = current["benchmarks"][name].get(key)
+            cur = current["benchmarks"].get(name, {}).get(key)
+            if gated and base is not None and cur is None:
+                lines.append(_missing_gate(f"{name}/{key}", regressions))
+                continue
             if base is None or cur is None or float(base) <= 0:
                 continue
             base, cur = float(base), float(cur)
@@ -176,11 +180,19 @@ def _timing_lines(baseline, current, threshold, strict_throughput, regressions):
     return lines
 
 
+def _missing_gate(key: str, regressions: list[str]) -> str:
+    """Record a gated baseline key absent from the current snapshot."""
+    regressions.append(f"{key}: gated key missing from current snapshot")
+    return f"  {key:<43s} missing from current snapshot  <-- REGRESSION"
+
+
 def _emulator_geomean_lines(baseline, current, threshold, regressions):
     """Gate the geomean blocks-vs-fast speedup recorded in the manifest
     by ``scripts/bench_emulator.py`` (absent from other snapshots)."""
     base = baseline.get("manifest", {}).get("blocks_speedup_geomean")
     cur = current.get("manifest", {}).get("blocks_speedup_geomean")
+    if base is not None and cur is None:
+        return [_missing_gate("manifest/blocks_speedup_geomean", regressions)]
     if base is None or cur is None or float(base) <= 0:
         return []
     base, cur = float(base), float(cur)

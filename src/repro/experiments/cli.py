@@ -139,11 +139,6 @@ def _parser() -> argparse.ArgumentParser:
         help="disable the persistent trace cache for this run",
     )
     perf.add_argument(
-        "--timing", choices=("fast", "reference"), default=None,
-        help="timing-layer implementation: pre-bound fast path (default) or "
-             "the golden reference loop (overrides $REPRO_TIMING)",
-    )
-    perf.add_argument(
         "--dispatch", choices=("fast", "reference", "blocks"), default=None,
         help="emulator interpreter: pre-bound dispatch (default), the golden "
              "reference loop, or the block-compiling tier (overrides $REPRO_DISPATCH)",
@@ -290,10 +285,6 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
     set_wall_timeout(args.timeout)
-    if args.timing is not None:
-        from repro.timing.fastpath import set_timing_mode
-
-        set_timing_mode(args.timing)
     if args.dispatch is not None:
         from repro.emulator.machine import set_dispatch_mode
 
@@ -461,7 +452,6 @@ def _write_obs_outputs(args, session, argv, collector=None) -> None:
     from repro.harness.atomicio import atomic_write_text
     from repro.obs.manifest import build_manifest, write_bench_snapshot
     from repro.obs.tracing import active_tracer
-    from repro.timing.fastpath import default_timing_mode
 
     compiler = blocks_mod.telemetry()
     if compiler is not None:
@@ -485,7 +475,6 @@ def _write_obs_outputs(args, session, argv, collector=None) -> None:
             "dispatch_tiers": session.dispatch_tier_stats() or None,
             "blocks": blocks_mod.stats() if default_dispatch() == "blocks" else None,
             "compiler": compiler,
-            "timing": default_timing_mode(),
             "supervisor": supervisor_stats(),
             "tracing": active_tracer().stats() if active_tracer() is not None else None,
             "guest_profile": _guest_profile_summary(collector),

@@ -51,7 +51,10 @@ from repro.obs.tracing import active_tracer
 from repro.timing.stats import METRIC_CATALOG, SimStats
 
 #: Journal / result-store schema version (strictly validated).
-JOURNAL_FORMAT = 1
+#: Format 2: a cell with ``iters=auto`` runs enough guest iterations for
+#: its budget (``suite.resolve_iters``); format-1 results for such cells
+#: may come from a guest that halted early, so they are not resumed.
+JOURNAL_FORMAT = 2
 
 #: Cell lifecycle states.
 PENDING = "pending"
@@ -122,7 +125,9 @@ def cell_key(
     included), so a sampled sweep can never resume from an exact
     journal or from one sampled under different parameters.  ``None``
     (exact cells) contributes nothing, keeping pre-sampling keys
-    stable.
+    stable.  ``iters=None`` keys as ``auto``, which resolves to a
+    deterministic function of the budget, *sampling* and the workload
+    behind *image_digest* (as the trace-cache key does).
     """
     parts = [
         f"journal={JOURNAL_FORMAT}",

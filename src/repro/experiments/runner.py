@@ -147,7 +147,10 @@ def collect_trace(
 
     *profile* selects the input footprint (test/train/ref, the SPEC
     input-set analogue).  A registered budget override (graceful
-    degradation) caps *max_steps*.
+    degradation) caps *max_steps*.  ``iters=None`` runs enough guest
+    iterations for the (capped) budget
+    (:func:`repro.workloads.suite.resolve_iters`), so the trace is
+    never cut short by the guest halting.
     """
     cap = _budget_overrides.get(name)
     if cap is not None and max_steps > cap:

@@ -246,7 +246,6 @@ def current_worker_state() -> tuple:
     """
     from repro.emulator.machine import dispatch_mode_override
     from repro.experiments import runner
-    from repro.timing.fastpath import timing_mode_override
 
     enabled = trace_cache.enabled()
     gp = guestprof.active_collector()
@@ -255,7 +254,6 @@ def current_worker_state() -> tuple:
         dict(runner._budget_overrides),
         str(trace_cache.cache_dir()) if enabled else None,
         enabled,
-        timing_mode_override(),
         dispatch_mode_override(),
         (gp.mode, gp.period) if gp is not None else None,
     )
@@ -266,7 +264,6 @@ def apply_worker_state(
     budget_overrides,
     cache_dir,
     cache_enabled,
-    timing_mode=None,
     dispatch_mode=None,
     guest_profile=None,
 ) -> None:
@@ -282,10 +279,6 @@ def apply_worker_state(
     for name, cap in budget_overrides.items():
         runner.set_budget_override(name, cap)
     trace_cache.configure(cache_dir, cache_enabled)
-    if timing_mode is not None:
-        from repro.timing.fastpath import set_timing_mode
-
-        set_timing_mode(timing_mode)
     if dispatch_mode is not None:
         from repro.emulator.machine import set_dispatch_mode
 
@@ -865,8 +858,8 @@ def run_sweep(
 ):
     """Run a (benchmark × config) grid under supervision, journaled.
 
-    Returns ``(grid, failures, degraded, report)``: the cell grid (as
-    :func:`repro.experiments.parallel.run_cells` returns it), the
+    Returns ``(grid, failures, degraded, report)``: the cell grid
+    (``grid[benchmark][config_name]`` is the cell's ``SimStats``), the
     quarantined/failed cells as ``FailureRecord``s, degraded-budget
     records, and the :class:`SupervisorReport`.
 
@@ -1165,26 +1158,19 @@ def run_sweep(
     _last_report = report
     if session is not None:
         from repro.emulator.machine import default_dispatch
-        from repro.timing.fastpath import default_timing_mode
 
         # Cells simulate inside workers (no session there), so the
         # orchestrator records them for the BENCH snapshot here —
         # executed cells with their dispatch-to-done wall time, resumed
         # cells at zero wall (they cost one journal read).  Workers
-        # re-apply both mode overrides (apply_worker_state), so the
-        # parent's defaults name what actually ran.
-        mode = default_timing_mode()
+        # re-apply the dispatch override (apply_worker_state), so the
+        # parent's default names what actually ran.
         dmode = default_dispatch()
         for cell in cells:
             stats = results.get(cell.key)
             if stats is not None:
                 session.current_benchmark = cell.benchmark
-                session.record_run(
-                    stats,
-                    cell_wall.get(cell.key, 0.0),
-                    timing_mode=mode,
-                    dispatch_mode=dmode,
-                )
+                session.record_run(stats, cell_wall.get(cell.key, 0.0), dispatch_mode=dmode)
         report.publish(session.registry)
         session.note_supervisor(report)
     if tracer is not None and root is not None:

@@ -41,7 +41,10 @@ from repro.harness.errors import TraceCorruption
 
 #: Bump when collection semantics change in a way the key cannot see
 #: (e.g. the skip-hint estimator): all old entries become orphans.
-CACHE_SCHEMA = 1
+#: Schema 2: ``iters=auto`` means enough iterations for the budget
+#: (``suite.resolve_iters``), no longer the default count, so schema-1
+#: entries for budgets past the default's halt hold short traces.
+CACHE_SCHEMA = 2
 
 #: Environment override for the cache directory; the values ``off``,
 #: ``0`` and ``none`` disable the cache entirely.
@@ -115,7 +118,14 @@ def cache_key(
     profile: str,
     program,
 ) -> str:
-    """Deterministic key for one (benchmark, parameters, image) trace."""
+    """Deterministic key for one (benchmark, parameters, image) trace.
+
+    ``iters=None`` and ``skip=None`` key as ``auto``: the count and the
+    skip actually used are resolved from the calibration of *program*'s
+    workload, a deterministic function of the other key fields, so the
+    key names the program that runs without paying that calibration on
+    a cache hit.
+    """
     canonical = "|".join(
         (
             f"schema={CACHE_SCHEMA}",

@@ -31,9 +31,6 @@ class RunRecord:
     cycles: int
     ipc: float
     wall_seconds: float
-    #: Timing-loop implementation that produced the run ("fast" /
-    #: "reference"); empty when the caller predates the fast path.
-    timing_mode: str = ""
     #: Emulator interpreter that produced the run's trace ("fast" /
     #: "reference" / "blocks"); empty when unknown (e.g. cache hit
     #: recorded before the dispatch mode was plumbed through).
@@ -136,9 +133,7 @@ class ObsSession:
         self.supervisor = report.to_dict()
         self.heartbeat("sweep.supervised")
 
-    def record_run(
-        self, stats, wall_seconds: float, timing_mode: str = "", dispatch_mode: str = ""
-    ) -> None:
+    def record_run(self, stats, wall_seconds: float, dispatch_mode: str = "") -> None:
         """Called after one ``simulate()``; *stats* is a ``SimStats``."""
         benchmark = self.current_benchmark or "?"
         self.runs.append(
@@ -149,7 +144,6 @@ class ObsSession:
                 cycles=stats.cycles,
                 ipc=stats.ipc,
                 wall_seconds=wall_seconds,
-                timing_mode=timing_mode,
                 dispatch_mode=dispatch_mode,
             )
         )
@@ -217,9 +211,6 @@ class ObsSession:
             rec["instructions_per_second"] = (
                 rec["instructions"] / rec["wall_seconds"] if rec["wall_seconds"] > 0 else 0.0
             )
-            modes = {r.timing_mode for r in self.runs if r.benchmark == name and r.timing_mode}
-            if modes:
-                rec["timing_mode"] = modes.pop() if len(modes) == 1 else "mixed"
             dmodes = {
                 r.dispatch_mode for r in self.runs if r.benchmark == name and r.dispatch_mode
             }

@@ -22,19 +22,17 @@ Three further mechanical optimisations ride on the same plan cache:
 * **shared scheduling kernels** — Figure 8 slice scheduling
   (``_schedule_sliced``), fetch (``_fetch``) and the load memory tail
   (``_load_access``) are the *same methods* the reference loop runs,
-  so the modes can only diverge in the binding layer, which the
+  so the two loops can only diverge in the binding layer, which the
   lockstep cross-check covers.
 
-The fast path is selected by default; ``REPRO_TIMING=reference`` (or
-``TimingSimulator(..., mode="reference")``) runs the original loops,
-kept verbatim as the golden models.  :func:`cross_check_timing` and
-:func:`cross_check_detailed` run both modes over one trace and raise
+:meth:`TimingSimulator.run` always takes this fast path; there is no
+user-facing switch.  :meth:`TimingSimulator.run_reference` keeps the
+original loop verbatim as the golden model, and
+:func:`cross_check_timing` runs both loops over one trace and raises
 :class:`TimingDivergence` on *any* stats or cycle-event mismatch.
 """
 
 from __future__ import annotations
-
-import os
 
 from repro.branch.early import can_resolve_early
 from repro.core.slicing import slices_containing_difference
@@ -52,37 +50,6 @@ from repro.obs.attribution import attribute_delta
 from repro.obs.guestprof import SHORTFALL_PC, profile_delta
 from repro.obs.guestprof import active_collector as _guest_collector
 from repro.timing.stats import SimStats
-
-#: Environment toggle, mirroring ``REPRO_DISPATCH``.
-TIMING_ENV = "REPRO_TIMING"
-
-#: In-process override (set by ``--timing``); wins over the environment
-#: so parallel workers can re-apply it via ``_worker_init``.
-_override: str | None = None
-
-
-def _canon(value: str) -> str:
-    return "reference" if str(value).strip().lower() in ("reference", "ref", "slow") else "fast"
-
-
-def default_timing_mode() -> str:
-    """Timing-loop implementation selected by ``REPRO_TIMING`` (default ``fast``)."""
-    if _override is not None:
-        return _override
-    return _canon(os.environ.get(TIMING_ENV, "fast"))
-
-
-def set_timing_mode(mode: str | None) -> str | None:
-    """Set (or with ``None`` clear) the in-process mode override."""
-    global _override
-    _override = None if mode is None else _canon(mode)
-    return _override
-
-
-def timing_mode_override() -> str | None:
-    """The current in-process override, for worker re-application."""
-    return _override
-
 
 class TimingDivergence(AssertionError):
     """Fast and reference timing paths disagreed (stats or events)."""
@@ -647,14 +614,14 @@ def _bind_branch(sim, inst, src_ready, full_ready, write_scalar, has_dsts):
 # ------------------------------------------------------------- main loop
 
 def run_fast(sim, trace, max_instructions=None, warmup=0, watchdog=None):
-    """Fast-mode main loop for :class:`TimingSimulator`.
+    """Fast main loop for :class:`TimingSimulator`.
 
     Statement-for-statement mirror of
     :meth:`TimingSimulator.run_reference` with the per-record execute
     stage replaced by the pre-bound plan closure and loop-invariant
     attributes hoisted into locals.  Shared scheduling kernels
     (``_fetch``, ``_schedule_sliced``, ``_load_access``, the predictor,
-    the attribution waterfall) keep the two modes bit-identical; the
+    the attribution waterfall) keep the two loops bit-identical; the
     lockstep cross-check enforces it.
     """
     from repro.timing.simulator import CPI_SAMPLE_INTERVAL, _StoreEntry
@@ -843,7 +810,7 @@ def _diff_dicts(label: str, ref: dict, fast: dict) -> None:
         if ref.get(k) != fast.get(k)
     ]
     raise TimingDivergence(
-        f"{label} diverged between timing modes:\n" + "\n".join(diffs)
+        f"{label} diverged between the reference and fast loops:\n" + "\n".join(diffs)
     )
 
 
@@ -863,7 +830,7 @@ def _diff_events(ref_events, fast_events) -> None:
 
 
 def cross_check_timing(config, trace, max_instructions=None, warmup=0):
-    """Run both :class:`TimingSimulator` modes over *trace* in lockstep.
+    """Run both :class:`TimingSimulator` loops over *trace* in lockstep.
 
     Compares the full ``SimStats`` dict and the complete (unbounded)
     cycle-event streams — every fetch/dispatch/slice/commit timestamp
@@ -873,43 +840,18 @@ def cross_check_timing(config, trace, max_instructions=None, warmup=0):
     from repro.timing.simulator import TimingSimulator
 
     records = trace if isinstance(trace, list) else list(trace)
-    ref = TimingSimulator(config, events=EventTrace(capacity=None), mode="reference")
-    fast = TimingSimulator(config, events=EventTrace(capacity=None), mode="fast")
-    ref_stats = ref.run(records, max_instructions, warmup=warmup)
+    ref = TimingSimulator(config, events=EventTrace(capacity=None))
+    fast = TimingSimulator(config, events=EventTrace(capacity=None))
+    ref_stats = ref.run_reference(records, max_instructions, warmup=warmup)
     fast_stats = fast.run(records, max_instructions, warmup=warmup)
     _diff_dicts(f"SimStats[{config.name}]", ref_stats.to_dict(), fast_stats.to_dict())
     _diff_events(ref.events, fast.events)
     return fast_stats
 
 
-def cross_check_detailed(config, trace, max_instructions=None):
-    """Run both :class:`DetailedSimulator` modes over *trace* in lockstep.
-
-    Compares every ``DetailedStats`` field (cycles, issued, forwards,
-    the full CPI stack) and raises :class:`TimingDivergence` on any
-    difference.  Returns ``(fast_stats, skipped_cycles)``.
-    """
-    from dataclasses import asdict
-
-    from repro.timing.detailed import DetailedSimulator
-
-    records = trace if isinstance(trace, list) else list(trace)
-    ref = DetailedSimulator(config, mode="reference")
-    fast = DetailedSimulator(config, mode="fast")
-    ref_stats = ref.run(records, max_instructions)
-    fast_stats = fast.run(records, max_instructions)
-    _diff_dicts(f"DetailedStats[{config.name}]", asdict(ref_stats), asdict(fast_stats))
-    return fast_stats, fast._skipped_cycles
-
-
 __all__ = [
-    "TIMING_ENV",
     "TimingDivergence",
     "bind_plan",
-    "cross_check_detailed",
     "cross_check_timing",
-    "default_timing_mode",
     "run_fast",
-    "set_timing_mode",
-    "timing_mode_override",
 ]

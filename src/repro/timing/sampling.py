@@ -403,7 +403,9 @@ def sample_benchmark(
     *budget* is the instruction horizon the systematic schedule covers
     (``budget // interval`` periods, at least one); with a CI target
     the run then auto-extends period by period until the relative CI
-    half-width meets it.  Initialization is skipped exactly as
+    half-width meets it.  ``iters=None`` runs enough guest iterations
+    for every scheduled period (:func:`repro.workloads.suite.resolve_iters`).
+    Initialization is skipped exactly as
     :meth:`repro.workloads.suite.Workload.trace` does (same skip-hint,
     same guest-profile suspension), so a sampled cell measures the same
     steady-state region an exact cell does.
@@ -411,10 +413,14 @@ def sample_benchmark(
     from repro.emulator.machine import Machine
     from repro.obs.guestprof import suspended_guest_profile
     from repro.timing.simulator import TimingSimulator
-    from repro.workloads.suite import get_workload, skip_hint
+    from repro.workloads.suite import get_workload, resolve_iters, skip_hint
 
     plan.validate()
+    n_periods = min(max(1, budget // plan.interval), plan.max_windows)
+    if plan.ci_target > 0.0:
+        n_periods = max(n_periods, plan.min_windows)
     workload = get_workload(name)
+    iters = resolve_iters(name, n_periods * plan.interval, iters, skip, profile)
     machine = Machine(workload.build(iters, profile), dispatch=dispatch)
     if skip is None:
         skip = skip_hint(name, profile)
@@ -423,10 +429,6 @@ def sample_benchmark(
     blocks_warm = machine._engine is not None
     if blocks_warm:
         machine.attach_warm_sink(warm.hierarchy, warm.predictor)
-
-    n_periods = min(max(1, budget // plan.interval), plan.max_windows)
-    if plan.ci_target > 0.0:
-        n_periods = max(n_periods, plan.min_windows)
     slack = plan.interval - plan.warm - plan.warmup - plan.window
     # Stratified placement: each period's warm+window span lands at a
     # seeded-uniform offset within the period instead of a fixed phase.

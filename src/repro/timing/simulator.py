@@ -81,7 +81,6 @@ class TimingSimulator:
         config: MachineConfig,
         record_timeline: bool = False,
         events: EventTrace | None = None,
-        mode: str | None = None,
     ) -> None:
         self.config = config
         self.stats = SimStats(config_name=config.name)
@@ -159,18 +158,6 @@ class TimingSimulator:
         self._claim_ptm = 0
         self._claim_mem = 0
         self._claim_slice = 0
-        # Timing-mode dispatch (mirrors the emulator's REPRO_DISPATCH
-        # pattern): "fast" replays pre-bound per-static-instruction
-        # schedulers (repro.timing.fastpath), "reference" runs the
-        # original loop below — the golden model the fast path is
-        # lockstep-checked against.
-        if mode is None:
-            from repro.timing.fastpath import default_timing_mode
-
-            mode = default_timing_mode()
-        self.mode = (
-            "reference" if str(mode).strip().lower() in ("reference", "ref", "slow") else "fast"
-        )
         # Fast-path state: flat reg-ready scoreboard (``reg * S + slice``
         # — no per-call list allocations), the per-static-instruction
         # plan cache, and the word -> youngest-store forwarding map for
@@ -191,7 +178,7 @@ class TimingSimulator:
         the shared warmed structures instead of starting cold.  Must be
         called before the first simulated instruction — the fast path
         binds ``predictor``/``hierarchy`` methods into closures lazily
-        at run time, so a pre-run swap is safe in both timing modes.
+        at run time, so a pre-run swap is safe for both main loops.
         The geometry-derived fields are recomputed from the adopted
         hierarchy (identical values for same-config instances).
         """
@@ -388,12 +375,12 @@ class TimingSimulator:
         return self._load_access(record, agen, release, forward, relevant)
 
     def _load_access(self, record: TraceRecord, agen: tuple[int, ...], release: int, forward, relevant) -> int:
-        """Memory-access tail of a load, shared by both timing modes.
+        """Memory-access tail of a load, shared by both main loops.
 
         *relevant* is the visible store window (oldest -> youngest);
         the fast path passes its incrementally-pruned deque, the
         reference path the per-load filtered list — the §5.1/PTM/miss
-        modelling below is shared verbatim so the two modes can only
+        modelling below is shared verbatim so the two loops can only
         diverge in the release computation, which the lockstep
         cross-check covers.
         """
@@ -528,17 +515,15 @@ class TimingSimulator:
         simulation with hard step/wall-clock budgets, raising
         :class:`~repro.harness.errors.RunawayExecution` on breach.
 
-        Dispatches on :attr:`mode`: the fast path replays pre-bound
+        Runs the fast path, which replays pre-bound
         per-static-instruction schedulers
-        (:func:`repro.timing.fastpath.run_fast`), the reference path is
-        :meth:`run_reference` — the golden model the fast path is
-        lockstep-checked against.
+        (:func:`repro.timing.fastpath.run_fast`).  :meth:`run_reference`
+        is the golden model it is lockstep-checked against
+        (:func:`repro.timing.fastpath.cross_check_timing`).
         """
-        if self.mode == "fast":
-            from repro.timing.fastpath import run_fast
+        from repro.timing.fastpath import run_fast
 
-            return run_fast(self, trace, max_instructions, warmup, watchdog)
-        return self.run_reference(trace, max_instructions, warmup, watchdog)
+        return run_fast(self, trace, max_instructions, warmup, watchdog)
 
     def run_reference(
         self,
@@ -892,7 +877,6 @@ def simulate(
     warmup: int = 0,
     watchdog=None,
     events: EventTrace | None = None,
-    mode: str | None = None,
 ) -> SimStats:
     """Convenience wrapper: run one configuration over a trace.
 
@@ -900,14 +884,13 @@ def simulate(
     ``--trace-events`` / ``--profile``), the run is wall-timed, its
     counters accumulate into the session registry, and cycle events
     land in the session ring buffer; with no session the only cost is
-    one ``None`` check.  *mode* overrides the ``REPRO_TIMING``
-    fast/reference selection for this run.
+    one ``None`` check.
     """
     from repro.obs.session import active_session
 
     session = active_session()
     if session is None:
-        return TimingSimulator(config, events=events, mode=mode).run(
+        return TimingSimulator(config, events=events).run(
             trace, max_instructions, warmup=warmup, watchdog=watchdog
         )
     if events is None:
@@ -915,14 +898,10 @@ def simulate(
     from repro.emulator.machine import default_dispatch
 
     t0 = time.perf_counter()
-    sim = TimingSimulator(config, events=events, mode=mode)
-    stats = sim.run(trace, max_instructions, warmup=warmup, watchdog=watchdog)
-    session.record_run(
-        stats,
-        time.perf_counter() - t0,
-        timing_mode=sim.mode,
-        dispatch_mode=default_dispatch(),
+    stats = TimingSimulator(config, events=events).run(
+        trace, max_instructions, warmup=warmup, watchdog=watchdog
     )
+    session.record_run(stats, time.perf_counter() - t0, dispatch_mode=default_dispatch())
     return stats
 
 

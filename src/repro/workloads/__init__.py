@@ -15,6 +15,7 @@ from repro.workloads.suite import (
     build_program,
     get_workload,
     iter_workloads,
+    resolve_iters,
 )
 
 __all__ = [
@@ -23,4 +24,5 @@ __all__ = [
     "build_program",
     "get_workload",
     "iter_workloads",
+    "resolve_iters",
 ]

@@ -141,12 +141,15 @@ class Workload:
     ):
         """Steady-state trace: skips initialization by default.
 
-        *watchdog* (a :class:`~repro.harness.watchdog.Watchdog`) bounds
-        the skip fast-forward and the traced window together.
+        ``iters=None`` runs enough iterations for *max_steps*
+        (:func:`resolve_iters`).  *watchdog* (a
+        :class:`~repro.harness.watchdog.Watchdog`) bounds the skip
+        fast-forward and the traced window together.
         """
         from repro.emulator.machine import Machine
         from repro.obs.guestprof import suspended_guest_profile
 
+        iters = resolve_iters(self.name, max_steps, iters, skip, profile)
         machine = Machine(self.build(iters, profile))
         if skip is None:
             skip = _skip_hint_cached(self.name, profile)
@@ -202,6 +205,33 @@ def _skip_hint_cached(name: str, profile: str = "ref") -> int:
 def skip_hint(name: str, profile: str = "ref") -> int:
     """Public skip-hint lookup (initialization instructions to skip)."""
     return _iter_costs_cached(name, profile)[0]
+
+
+def resolve_iters(
+    name: str,
+    budget: int,
+    iters: int | None = None,
+    skip: int | None = None,
+    profile: str = "ref",
+) -> int:
+    """The iteration count a run of *budget* post-skip instructions uses.
+
+    An explicit *iters* is returned as given.  ``None`` means enough
+    iterations that the guest does not halt inside the budget
+    (:meth:`Workload.iters_for_budget`, counting any part of an
+    explicit *skip* beyond the calibrated initialization).  Budgets the
+    default iteration count already fills resolve to the default, so
+    their instruction stream is unchanged.  Every collection and
+    sampled run resolves ``None`` here; trace-cache and journal keys
+    record it as ``auto``, which names one program because the result
+    is a deterministic function of the keyed budget and workload.
+    """
+    if iters is not None:
+        return iters
+    workload = get_workload(name)
+    init = _iter_costs_cached(name, profile)[0]
+    extra = 0 if skip is None else max(0, skip - init)
+    return workload.iters_for_budget(budget + extra, profile)
 
 
 @lru_cache(maxsize=None)

@@ -118,31 +118,31 @@ def test_sample_mode_counts_samples():
     assert replay.benchmarks["?"].counts == prof.counts
 
 
-def _simulate_with_profile(timing_mode: str):
+def _simulate_with_profile(loop: str):
+    """Profile one run on the golden ``reference`` loop or the ``fast`` path."""
     from repro.core.config import bitslice_config
-    from repro.timing.fastpath import set_timing_mode
-    from repro.timing.simulator import simulate
+    from repro.timing.simulator import TimingSimulator
 
     records = tuple(Machine(assemble(LOOP_SOURCE)).trace(STEPS))
     collector = start_guest_profile()
-    set_timing_mode(timing_mode)
+    sim = TimingSimulator(bitslice_config(4))
+    run = sim.run_reference if loop == "reference" else sim.run
     try:
-        stats = simulate(bitslice_config(4), iter(records), warmup=500)
+        stats = run(iter(records), warmup=500)
     finally:
-        set_timing_mode(None)
         end_guest_profile()
     return stats, collector.benchmarks["?"]
 
 
-@pytest.mark.parametrize("timing_mode", ["reference", "fast"])
-def test_cycle_stacks_sum_to_total_cycles(timing_mode):
-    stats, prof = _simulate_with_profile(timing_mode)
+@pytest.mark.parametrize("loop", ["reference", "fast"])
+def test_cycle_stacks_sum_to_total_cycles(loop):
+    stats, prof = _simulate_with_profile(loop)
     assert prof.cycles_total == stats.cycles
     assert sum(sum(parts) for parts in prof.cycles.values()) == stats.cycles
     assert all(len(parts) == len(COMPONENT_KEYS) for parts in prof.cycles.values())
 
 
-def test_cycle_stacks_identical_across_timing_modes():
+def test_cycle_stacks_identical_reference_vs_fast():
     _, ref = _simulate_with_profile("reference")
     _, fast = _simulate_with_profile("fast")
     assert fast.cycles == ref.cycles

@@ -266,12 +266,11 @@ def test_bench_records_carry_mode_fields():
     session = ObsSession()
     session.note_collection("li", 100, 0.1)
     stats = SimStats(config_name="baseline", instructions=10, cycles=20)
-    session.record_run(stats, 0.1, timing_mode="fast", dispatch_mode="blocks")
+    session.record_run(stats, 0.1, dispatch_mode="blocks")
     rec = session.bench_records()["li"]
-    assert rec["timing_mode"] == "fast"
     assert rec["dispatch_mode"] == "blocks"
     # A second run under a different dispatch mode marks it mixed.
-    session.record_run(stats, 0.1, timing_mode="fast", dispatch_mode="fast")
+    session.record_run(stats, 0.1, dispatch_mode="fast")
     assert session.bench_records()["li"]["dispatch_mode"] == "mixed"
 
 

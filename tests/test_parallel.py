@@ -1,4 +1,4 @@
-"""Parallel sweep layer: worker fan-out, state inheritance, merging."""
+"""Parallel layer: worker fan-out, state inheritance, grid parity."""
 
 from __future__ import annotations
 
@@ -6,7 +6,10 @@ import pytest
 
 from repro.core.config import baseline_config, simple_pipeline_config
 from repro.experiments import parallel, runner, trace_cache
+from repro.experiments.supervisor import run_sweep
+from repro.harness.faults import ProcessFaultPlan
 from repro.timing.simulator import simulate
+from repro.timing.stats import SimStats
 
 N = 1_200
 WARMUP = 200
@@ -75,12 +78,20 @@ def test_workers_inherit_cache_config(tmp_path):
     assert stats["hits"] == 1 and stats["misses"] == 0
 
 
-def test_run_cells_grid_matches_sequential_simulation():
-    configs = [baseline_config(), simple_pipeline_config(2)]
-    grid, failures = parallel.run_cells(
-        ["li", "mcf"], configs, N, WARMUP, jobs=2, keep_going=True
+def _sweep_grid(configs):
+    grid, failures, _, _ = run_sweep(
+        ["li", "mcf"], configs, N, WARMUP, jobs=2, keep_going=True,
+        fault_plan=ProcessFaultPlan(),
     )
     assert not failures
+    return grid
+
+
+def test_run_cells_grid_matches_sequential_simulation():
+    """A two-worker ``run_sweep`` grid equals sequential collect +
+    simulate cell for cell."""
+    configs = [baseline_config(), simple_pipeline_config(2)]
+    grid = _sweep_grid(configs)
     for name in ("li", "mcf"):
         trace = runner.collect_trace(name, N + WARMUP)
         for config in configs:
@@ -90,11 +101,12 @@ def test_run_cells_grid_matches_sequential_simulation():
 
 
 def test_merge_by_config_is_order_independent():
+    """Merging a sweep grid's cells per config does not depend on the
+    order the benchmarks are folded in."""
     configs = [baseline_config()]
-    grid, _ = parallel.run_cells(["li", "mcf"], configs, N, WARMUP, jobs=2)
-    totals = parallel.merge_by_config(grid)
-    flipped = {name: grid[name] for name in reversed(list(grid))}
+    grid = _sweep_grid(configs)
+    runs = [grid[name][configs[0].name] for name in ("li", "mcf")]
     assert (
-        parallel.merge_by_config(flipped)[configs[0].name].to_dict()
-        == totals[configs[0].name].to_dict()
+        SimStats.merge_all(runs).to_dict()
+        == SimStats.merge_all(runs[::-1]).to_dict()
     )

@@ -129,6 +129,14 @@ def test_ci_target_auto_extends_past_scheduled_budget():
     assert result.trajectory[-1][0] == len(result.windows)
 
 
+def test_sampled_run_outlives_default_iterations():
+    """go halts after ~216k instructions at its default iteration count;
+    a longer sampled horizon still runs every scheduled window."""
+    plan = SamplingPlan(window=300, warmup=100, interval=20_000)
+    result = sample_benchmark("go", baseline_config(), plan, budget=300_000)
+    assert len(result.windows) == 300_000 // plan.interval
+
+
 def test_bootstrap_cis_are_deterministic_and_degenerate_below_two_windows():
     def window(insts, cycles):
         s = SimStats(config_name="ideal")

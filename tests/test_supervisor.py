@@ -8,7 +8,7 @@ import time
 import pytest
 
 from repro.core.config import baseline_config, bitslice_config
-from repro.experiments import parallel, runner, supervisor
+from repro.experiments import runner, supervisor
 from repro.experiments.journal import DONE, PENDING, SweepJournal
 from repro.experiments.supervisor import (
     PoolTask,
@@ -266,25 +266,26 @@ def test_run_sweep_quarantines_poison_benchmark(tmp_path):
     assert record.benchmark == "nosuchbench" and record.stage == "build"
 
 
-def test_run_sweep_without_journal_matches_run_cells():
+def test_run_sweep_without_journal_matches_sequential_simulation():
     names, configs = ["li"], [baseline_config()]
     grid, failures, degraded, report = run_sweep(
         names, configs, N, WARMUP, jobs=1, fault_plan=ProcessFaultPlan()
     )
     assert not failures
-    ref_grid, _ = parallel.run_cells(names, configs, N, WARMUP, jobs=1)
-    assert grid["li"]["ideal"].to_dict() == ref_grid["li"]["ideal"].to_dict()
+    expected = simulate(baseline_config(), runner.collect_trace("li", N + WARMUP), warmup=WARMUP)
+    assert grid["li"]["ideal"].to_dict() == expected.to_dict()
     assert supervisor.supervisor_stats()["cells_executed"] == 1
 
 
 # ----------------------------------------------- parallel layer regression
 
 def test_parallel_worker_crash_is_isolated(tmp_path):
-    """run_cells on the supervised pool: a dead worker's cell fails as a
-    FailureRecord while other cells complete (the bare Pool would hang
-    or propagate uncatchably)."""
-    grid, failures = parallel.run_cells(
-        ["li"], [baseline_config()], N, WARMUP, jobs=1, keep_going=True
+    """A cell on the supervised pool completes and the worker is reaped:
+    a dead worker's cell would fail as a FailureRecord instead of hanging
+    or propagating uncatchably (as the bare Pool did)."""
+    grid, failures, _, _ = run_sweep(
+        ["li"], [baseline_config()], N, WARMUP, jobs=1, keep_going=True,
+        fault_plan=ProcessFaultPlan(),
     )
     assert not failures and grid["li"]["ideal"].instructions == N
     assert _no_children()

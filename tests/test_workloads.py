@@ -106,3 +106,16 @@ def test_trace_helper_skips(monkeypatch):
     w = get_workload("go")
     records = list(w.trace(max_steps=100, skip=50))
     assert len(records) == 100
+
+
+def test_exact_trace_outlives_default_iterations():
+    """``iters=None`` resolves to enough iterations for the budget: at its
+    default count ijpeg halts after ~82k post-skip instructions."""
+    from repro.experiments.runner import collect_trace
+    from repro.workloads.suite import resolve_iters
+
+    w = get_workload("ijpeg")
+    assert resolve_iters("ijpeg", 40_000) == w.default_iters
+    assert resolve_iters("ijpeg", 100_000) > w.default_iters
+    assert resolve_iters("ijpeg", 100_000, iters=2) == 2
+    assert len(collect_trace("ijpeg", 100_000)) == 100_000
