@@ -4,8 +4,9 @@
 Measures, per workload, full runs to the halt point (bounded by
 ``--steps``) under each interpreter tier:
 
-* ``fast`` — pre-bound per-instruction dispatch (the default tier);
-* ``blocks`` — the block-compiling tier (``repro.emulator.blocks``);
+* ``fast`` — pre-bound per-instruction dispatch;
+* ``blocks`` — the block-compiling tier (``repro.emulator.blocks``,
+  the default tier);
 * ``reference`` — the golden ``if``/``elif`` interpreter
   (``--with-reference``; slow, measured once).
 
@@ -22,7 +23,7 @@ snapshots, plus ``emulator_*`` / ``blocks_speedup`` sections) for
 ``scripts/bench_compare.py``'s regression gate::
 
     python scripts/bench_emulator.py --out benchmarks/BENCH_blocks.json
-    python scripts/bench_emulator.py --assert-fast-active --check-speedup
+    python scripts/bench_emulator.py --assert-blocks-default --check-speedup
 
 ``blocks_speedup`` ratios are host-normalised (both tiers run in the
 same process on the same machine), so ``--check-speedup`` is meaningful
@@ -193,9 +194,10 @@ def main(argv=None) -> int:
         help="write the BENCH-schema snapshot JSON here",
     )
     parser.add_argument(
-        "--assert-fast-active", action="store_true",
-        help="fail unless pre-bound dispatch is the session default and the "
-             "blocks tier engages (guards CI against benching a misconfigured tier)",
+        "--assert-blocks-default", action="store_true",
+        help="fail unless the blocks tier is the session default and a "
+             "default-tier machine compiles blocks (guards CI against "
+             "benching a misconfigured tier)",
     )
     parser.add_argument(
         "--check-speedup", action="store_true",
@@ -230,24 +232,22 @@ def main(argv=None) -> int:
             return 1
         return 0
 
-    if args.assert_fast_active:
+    if args.assert_blocks_default:
         mode = default_dispatch()
-        if mode != "fast":
+        if mode != "blocks":
             print(
-                f"error: pre-bound dispatch is not the session default "
+                f"error: the blocks tier is not the session default "
                 f"(default={mode!r}); is $REPRO_DISPATCH forcing another tier?",
                 file=sys.stderr,
             )
             return 1
-        probe = Machine(
-            get_workload("li").build(iters=1), dispatch="blocks", block_threshold=0
-        )
+        probe = Machine(get_workload("li").build(iters=1), block_threshold=0)
         probe.run(2_000)
-        engaged = probe._engine is not None and block_stats()["block_insts"] > 0
+        engaged = probe._engine is not None and block_stats()["blocks_compiled"] > 0
         if not engaged:
-            print("error: blocks tier did not engage on the probe run", file=sys.stderr)
+            print("error: the default-tier probe compiled no blocks", file=sys.stderr)
             return 1
-        print("fast dispatch active (default 'fast'); blocks tier engages")
+        print("blocks tier is the default (default 'blocks') and compiles")
 
     print(
         f"benching {len(args.benchmarks)} workload(s), full runs to halt "

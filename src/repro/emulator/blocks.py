@@ -247,8 +247,8 @@ def telemetry() -> dict | None:
     """Manifest-ready "Compiler telemetry" block, or ``None``.
 
     ``None`` when the blocks tier never compiled anything this process —
-    reports and manifests gate the section on data presence, so runs on
-    the other tiers render byte-identically to pre-telemetry builds.
+    manifests and ``FidelityReport.to_dict()`` gate the block on data
+    presence.
     """
     if not _STATS["blocks_compiled"] and not _COMPILE_EVENTS:
         return None
@@ -473,6 +473,19 @@ class BlockEngine:
         if len(items) < self.min_len:
             return None
         return _Block(items, superblock)
+
+    def items(self, index: int) -> list:
+        """Static items of the compiled block at leader *index*.
+
+        A compiled execution that retired ``k`` instructions retired
+        exactly ``items[:k]`` — the guest profiler's per-PC key.
+        Code-cache binds skip extent discovery; :meth:`_extent` is pure
+        static analysis, so it runs here on first use.
+        """
+        block = self._extents.get(index)
+        if block is None:
+            block = self._extents[index] = self._extent(index)
+        return block.items
 
     # ------------------------------------------------------------ compilation
 

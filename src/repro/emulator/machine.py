@@ -9,16 +9,16 @@ objects.
 
 Three interpreters share the machine state:
 
-* the **fast path** (default): every decoded instruction is pre-bound
-  once to a specialized closure from :mod:`repro.emulator.dispatch`, so
-  the execute loop is threaded code with zero mnemonic string
-  comparisons, and :meth:`run` retires instructions without building
-  ``TraceRecord`` objects it would only discard;
-* the **blocks tier** (``REPRO_DISPATCH=blocks``): hot basic blocks
-  and superblocks compile to fused Python functions
-  (:mod:`repro.emulator.blocks`) with registers in host locals and
-  batched memory runs, falling back to the pre-bound handlers at block
-  exits, syscalls and cold code;
+* the **blocks tier** (default): hot basic blocks and superblocks
+  compile to fused Python functions (:mod:`repro.emulator.blocks`)
+  with registers in host locals and batched memory runs, falling back
+  to the pre-bound handlers at block exits, syscalls and cold code;
+* the **fast path** (``REPRO_DISPATCH=fast``): every decoded
+  instruction is pre-bound once to a specialized closure from
+  :mod:`repro.emulator.dispatch`, so the execute loop is threaded code
+  with zero mnemonic string comparisons, and :meth:`run` retires
+  instructions without building ``TraceRecord`` objects it would only
+  discard;
 * the **golden reference** (:meth:`step_reference`): the original
   ``if``/``elif`` interpreter, kept verbatim as the oracle that both
   fast tiers are differentially checked against
@@ -52,8 +52,20 @@ from repro.isa.registers import FCC, FP_BASE, HI, LO, NUM_EXT_REGS
 _M = 0xFFFFFFFF
 
 #: Environment variable selecting the interpreter
-#: (``fast``/``reference``/``blocks``).
+#: (``blocks``/``fast``/``reference``; unset or empty means
+#: :data:`DEFAULT_DISPATCH`).
 DISPATCH_ENV = "REPRO_DISPATCH"
+
+#: Tier every machine runs unless the override or ``REPRO_DISPATCH``
+#: picks another.
+DEFAULT_DISPATCH = "blocks"
+
+#: Accepted dispatch spellings and the tier each selects.
+_DISPATCH_NAMES = {
+    "blocks": "blocks", "block": "blocks", "compiled": "blocks",
+    "fast": "fast",
+    "reference": "reference", "ref": "reference", "slow": "reference",
+}
 
 #: Retirements a profiled exact-mode block chain may run before it
 #: yields to the outer loop, where the chain-encoded execution buffer
@@ -63,30 +75,39 @@ DISPATCH_ENV = "REPRO_DISPATCH"
 _PROFILE_DRAIN = 262_144
 
 #: In-process dispatch-mode override (beats the environment).  Workers
-#: spawned for parallel sweeps re-apply this the same way the timing
-#: layer re-applies its mode override (see experiments.supervisor).
+#: spawned for parallel sweeps re-apply it (see experiments.supervisor).
 _dispatch_override: str | None = None
 
 
 def _canon_dispatch(value) -> str:
+    """Canonical tier for *value*; empty means :data:`DEFAULT_DISPATCH`.
+
+    Raises:
+        ValueError: *value* names no tier (a typo must not silently
+            select a slower one).
+    """
     v = str(value).strip().lower()
-    if v in ("reference", "ref", "slow"):
-        return "reference"
-    if v in ("blocks", "block", "compiled"):
-        return "blocks"
-    return "fast"
+    if not v:
+        return DEFAULT_DISPATCH
+    try:
+        return _DISPATCH_NAMES[v]
+    except KeyError:
+        raise ValueError(
+            f"unknown dispatch tier {value!r}; expected one of "
+            f"{', '.join(sorted(_DISPATCH_NAMES))}"
+        ) from None
 
 
 def default_dispatch() -> str:
     """Interpreter selected by the override or ``REPRO_DISPATCH``.
 
-    Returns ``"fast"`` (pre-bound dispatch, the default),
-    ``"reference"`` (golden interpreter) or ``"blocks"``
-    (block-compiled tier, :mod:`repro.emulator.blocks`).
+    Returns ``"blocks"`` (block-compiled tier,
+    :mod:`repro.emulator.blocks` — the default), ``"fast"`` (pre-bound
+    dispatch) or ``"reference"`` (golden interpreter).
     """
     if _dispatch_override is not None:
         return _dispatch_override
-    return _canon_dispatch(os.environ.get(DISPATCH_ENV, "fast"))
+    return _canon_dispatch(os.environ.get(DISPATCH_ENV, ""))
 
 
 def set_dispatch_mode(mode: str | None) -> str | None:
@@ -732,10 +753,11 @@ class Machine:
         compiled bodies commit a prefix of their static item list at
         every exit point, so an execution that retired ``k``
         instructions retired exactly ``items[:k]``.  In ``sample``
-        mode, blocks-tier samples land on the executing block's leader
-        PC (a documented period-granularity approximation).  The
-        partial profile is folded in even when the loop unwinds on a
-        watchdog breach or guest fault.
+        mode the same prefix rule places each blocks-tier sample on
+        the exact instruction that retired it, so every tier (and the
+        cache-hit replay, :func:`~repro.obs.guestprof.profile_from_records`)
+        samples the same PCs.  The partial profile is folded in even
+        when the loop unwinds on a watchdog breach or guest fault.
         """
         gp = _guest_collector()
         exact = gp.mode == "exact"
@@ -870,9 +892,13 @@ class Machine:
                                         key = (index << 8) | cnt
                                         bexecs[key] = bexecs_get(key, 0) + 1
                                     else:
+                                        # A sample that fell inside
+                                        # this execution retired item
+                                        # ``cnt + left - 1`` of it.
                                         left -= cnt
                                         while left <= 0:
-                                            counts[pc] = counts_get(pc, 0) + 1
+                                            rpc = records[cnt + left - 1].pc
+                                            counts[rpc] = counts_get(rpc, 0) + 1
                                             sampled += 1
                                             left += period
                                     if watchdog is not None:
@@ -940,7 +966,8 @@ class Machine:
                                         side_exits += 1
                                     left -= cnt
                                     while left <= 0:
-                                        lpc = base + 4 * lead
+                                        ti = eng.items(lead)[cnt + left - 1][0]
+                                        lpc = base + 4 * ti
                                         counts[lpc] = counts_get(lpc, 0) + 1
                                         sampled += 1
                                         left += period
@@ -978,15 +1005,7 @@ class Machine:
                 if pending:
                     _fold_pending()
                 for key, times in bexecs.items():
-                    lead = key >> 8
-                    cnt = key & 255
-                    block = eng._extents.get(lead)
-                    if block is None:
-                        # Cross-machine code-cache hits bind without
-                        # re-deriving the extent; _extent is pure static
-                        # analysis, so recompute it here.
-                        block = eng._extents[lead] = eng._extent(lead)
-                    for ti, _inst, _cont in block.items[:cnt]:
+                    for ti, _inst, _cont in eng.items(key >> 8)[:key & 255]:
                         bpc = base + 4 * ti
                         counts[bpc] = counts.get(bpc, 0) + times
                 eng.execs += execs
@@ -1075,6 +1094,7 @@ class Machine:
 
 
 __all__ = [
+    "DEFAULT_DISPATCH",
     "DISPATCH_ENV",
     "EmulatorError",
     "IllegalInstruction",

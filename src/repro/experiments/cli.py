@@ -139,9 +139,10 @@ def _parser() -> argparse.ArgumentParser:
         help="disable the persistent trace cache for this run",
     )
     perf.add_argument(
-        "--dispatch", choices=("fast", "reference", "blocks"), default=None,
-        help="emulator interpreter: pre-bound dispatch (default), the golden "
-             "reference loop, or the block-compiling tier (overrides $REPRO_DISPATCH)",
+        "--dispatch", choices=("blocks", "fast", "reference"), default=None,
+        help="emulator interpreter: the block-compiling tier (default), "
+             "pre-bound dispatch, or the golden reference loop "
+             "(overrides $REPRO_DISPATCH)",
     )
     sweep = p.add_argument_group("supervised sweep (docs/robustness.md)")
     sweep.add_argument(

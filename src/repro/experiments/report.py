@@ -173,8 +173,11 @@ class FidelityReport:
     #: JIT-tier compiler telemetry: blocks/superblocks compiled, side-exit
     #: and fault-replay rates, code-cache reuse — from this process's
     #: block engine plus the scanned ``BENCH_*.json`` manifests.  Empty
-    #: when no run in scope used the blocks dispatch tier, and the
-    #: section is omitted entirely so non-blocks reports are unchanged.
+    #: when no run in scope compiled a block.  Serialized by
+    #: :meth:`to_dict` but rendered in neither markdown nor HTML: it
+    #: describes the host run (compile wall time, whether a warm trace
+    #: cache skipped emulation), not the reproduced figures, so the
+    #: report reads the same on every dispatch tier and cache state.
     compiler: dict = field(default_factory=dict)
     #: non-fatal issues hit while collecting (bad snapshots etc.).
     warnings: list[str] = field(default_factory=list)
@@ -283,28 +286,6 @@ class FidelityReport:
                 f"| straggler cells | {h.get('straggler_cells', 0)} |",
                 f"| retry-storm cells | {h.get('retry_storm_cells', 0)} |",
             ]
-        if self.compiler:
-            t = self.compiler
-            lines += [
-                "",
-                "## Compiler telemetry",
-                "",
-                f"Block-compiled dispatch tier, from this run plus "
-                f"{t.get('snapshots_scanned', 0)} perf snapshot(s) that "
-                f"used it.",
-                "",
-                "| counter | value |",
-                "|---------|-------|",
-                f"| blocks compiled | {t.get('blocks_compiled', 0)} |",
-                f"| superblocks | {t.get('superblocks', 0)} |",
-                f"| code-cache binds | {t.get('cache_binds', 0)} |",
-                f"| compiled-block executions | {t.get('block_execs', 0)} |",
-                f"| side-exit rate | {t.get('side_exit_rate', 0.0):.2%} |",
-                f"| fault replays | {t.get('replays', 0)} |",
-                f"| block-instruction fraction | {t.get('block_inst_fraction', 0.0):.1%} |",
-                f"| batched lw/sw run sites | {t.get('mem_run_sites', 0)} |",
-                f"| compile wall seconds | {t.get('compile_seconds', 0.0):.3f} |",
-            ]
         if self.warnings:
             lines += ["", "## Warnings", ""]
             lines += [f"- {w}" for w in self.warnings]
@@ -396,31 +377,6 @@ class FidelityReport:
                 "<table><tr><th>counter</th><th>value</th></tr>"
                 f"{campaign_rows}</table>"
             )
-        compiler_html = ""
-        if self.compiler:
-            t = self.compiler
-            compiler_rows = "".join(
-                f"<tr><td>{_esc(label)}</td><td>{value}</td></tr>"
-                for label, value in (
-                    ("blocks compiled", t.get("blocks_compiled", 0)),
-                    ("superblocks", t.get("superblocks", 0)),
-                    ("code-cache binds", t.get("cache_binds", 0)),
-                    ("compiled-block executions", t.get("block_execs", 0)),
-                    ("side-exit rate", f"{t.get('side_exit_rate', 0.0):.2%}"),
-                    ("fault replays", t.get("replays", 0)),
-                    ("block-instruction fraction",
-                     f"{t.get('block_inst_fraction', 0.0):.1%}"),
-                    ("batched lw/sw run sites", t.get("mem_run_sites", 0)),
-                    ("compile wall seconds", f"{t.get('compile_seconds', 0.0):.3f}"),
-                )
-            )
-            compiler_html = (
-                "<h2>Compiler telemetry</h2>"
-                "<p>Block-compiled dispatch tier, from this run plus "
-                f"{t.get('snapshots_scanned', 0)} perf snapshot(s) that used it.</p>"
-                "<table><tr><th>counter</th><th>value</th></tr>"
-                f"{compiler_rows}</table>"
-            )
         warn_html = "".join(f"<li>{_esc(w)}</li>" for w in self.warnings)
         return f"""<!DOCTYPE html>
 <html><head><meta charset="utf-8"><title>Fidelity report — {_esc(self.run)}</title>
@@ -455,7 +411,6 @@ components sum exactly to measured cycles).</p>
 <h2>Perf-snapshot trend</h2>
 {'<table><tr><th>run</th><th>mean IPC</th><th>ΔIPC</th><th>wall s</th><th>cache hit rate</th></tr>' + ''.join(trend_rows) + '</table>' if trend_rows else '<p>(no snapshots found)</p>'}
 {campaign_html}
-{compiler_html}
 {'<h2>Warnings</h2><ul>' + warn_html + '</ul>' if warn_html else ''}
 </body></html>
 """
@@ -579,13 +534,12 @@ def _campaign_health(bench_dir: str | Path | None, warnings: list[str]) -> dict:
     return health
 
 
-def _compiler_telemetry(bench_dir: str | Path | None, warnings: list[str]) -> dict:
+def _compiler_telemetry(bench_dir: str | Path | None) -> dict:
     """JIT-tier counters for the campaign, or ``{}`` when unused.
 
     Folds this process's live block-engine telemetry together with the
     ``compiler`` blocks recorded in scanned ``BENCH_*.json`` manifests.
-    Empty when neither source saw the blocks tier compile anything, so
-    reports for fast/reference-tier campaigns render unchanged.
+    Empty when neither source saw the blocks tier compile anything.
     """
     from repro.emulator import blocks
     from repro.obs.manifest import load_bench_snapshot
@@ -630,11 +584,6 @@ def _compiler_telemetry(bench_dir: str | Path | None, warnings: list[str]) -> di
     insts = totals["block_insts"] + totals["fallback_insts"]
     totals["side_exit_rate"] = totals["side_exits"] / execs if execs else 0.0
     totals["block_inst_fraction"] = totals["block_insts"] / insts if insts else 0.0
-    if execs and totals["side_exit_rate"] > 0.5:
-        warnings.append(
-            f"compiler telemetry: side-exit rate {totals['side_exit_rate']:.0%} — "
-            "superblock speculation is mostly wasted on this workload mix"
-        )
     return totals
 
 
@@ -769,7 +718,7 @@ def run_fidelity(
     if bench_dir is not None:
         report.trend = _bench_trend(bench_dir, report.warnings)
     report.campaign = _campaign_health(bench_dir, report.warnings)
-    report.compiler = _compiler_telemetry(bench_dir, report.warnings)
+    report.compiler = _compiler_telemetry(bench_dir)
     return report
 
 

@@ -286,6 +286,37 @@ def test_dispatch_env_and_override(monkeypatch):
     assert default_dispatch() == "blocks"
 
 
+def test_blocks_is_the_default_dispatch(monkeypatch):
+    monkeypatch.delenv(DISPATCH_ENV, raising=False)
+    assert dispatch_mode_override() is None
+    assert default_dispatch() == "blocks"
+    machine = Machine(assemble("main: nop\n halt\n"))
+    assert machine.dispatch == "blocks" and machine._engine is not None
+
+
+def test_empty_dispatch_means_the_default(monkeypatch):
+    monkeypatch.setenv(DISPATCH_ENV, "")
+    assert default_dispatch() == "blocks"
+    monkeypatch.setenv(DISPATCH_ENV, "  ")
+    assert default_dispatch() == "blocks"
+    assert Machine(assemble("main: halt\n"), dispatch="").dispatch == "blocks"
+
+
+def test_unknown_dispatch_raises(monkeypatch):
+    """A misspelt tier fails loudly instead of picking a slower one."""
+    monkeypatch.setenv(DISPATCH_ENV, "blokcs")
+    with pytest.raises(ValueError, match="blokcs") as excinfo:
+        default_dispatch()
+    for accepted in ("blocks", "fast", "reference"):
+        assert accepted in str(excinfo.value)
+    monkeypatch.delenv(DISPATCH_ENV)
+    with pytest.raises(ValueError):
+        set_dispatch_mode("fastest")
+    assert dispatch_mode_override() is None
+    with pytest.raises(ValueError):
+        Machine(assemble("main: halt\n"), dispatch="prebound")
+
+
 def test_worker_state_carries_dispatch_override():
     """Sweep workers must re-apply the parent's dispatch override."""
     set_dispatch_mode("blocks")

@@ -84,6 +84,20 @@ def test_golden_markdown_snapshot():
     assert golden_report().render_markdown() == GOLDEN_MARKDOWN
 
 
+def test_compiler_telemetry_stays_out_of_rendered_report():
+    """JIT telemetry is host state: serialized, never rendered, so the
+    report reads the same on every dispatch tier and cache state."""
+    report = golden_report()
+    report.compiler = {
+        "blocks_compiled": 12, "block_execs": 40, "side_exits": 30,
+        "side_exit_rate": 0.75, "compile_seconds": 0.042,
+        "snapshots_scanned": 0,
+    }
+    assert report.render_markdown() == GOLDEN_MARKDOWN
+    assert report.render_html() == golden_report().render_html()
+    assert report.to_dict()["compiler"]["blocks_compiled"] == 12
+
+
 def test_check_banding():
     t = PaperTarget("F", "c", 0.5, 1.5, "p")
     assert FigureCheck(t, 1.0).ok

@@ -100,19 +100,26 @@ def test_cold_counts_match_record_replay():
     assert replay.benchmarks["?"].retired == cold.retired
 
 
-def test_sample_mode_counts_samples():
-    machine = Machine(assemble(LOOP_SOURCE))
-    collector = start_guest_profile(mode="sample", period=64)
-    try:
-        machine.run(STEPS)
-    finally:
-        end_guest_profile()
-    prof = collector.benchmarks["?"]
+@pytest.mark.parametrize("period", [5, 64])
+@pytest.mark.parametrize("dispatch", ["reference", "fast", "blocks"])
+def test_sample_mode_counts_samples(dispatch, period):
+    def sample(collect):
+        collector = start_guest_profile(mode="sample", period=period)
+        try:
+            collect(Machine(assemble(LOOP_SOURCE), dispatch=dispatch))
+        finally:
+            end_guest_profile()
+        return collector.benchmarks["?"]
+
+    prof = sample(lambda machine: machine.run(STEPS))
     assert prof.retired == STEPS
-    assert prof.sampled == STEPS // 64
+    assert prof.sampled == STEPS // period
     assert sum(prof.counts.values()) == prof.sampled
-    # Sampling cadence survives the cache-hit replay path too.
-    replay = GuestProfileCollector(mode="sample", period=64)
+    # Every tier samples the exact retiring PC, so a profiled trace
+    # collection and the cache-hit replay path land on the same PCs.
+    traced = sample(lambda machine: tuple(machine.trace(STEPS)))
+    assert traced.counts == prof.counts
+    replay = GuestProfileCollector(mode="sample", period=period)
     records = tuple(Machine(assemble(LOOP_SOURCE)).trace(STEPS))
     profile_from_records(records, replay)
     assert replay.benchmarks["?"].counts == prof.counts

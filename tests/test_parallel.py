@@ -61,6 +61,7 @@ def test_workers_inherit_dispatch_mode():
     runner.clear_trace_cache()
     # Traces are mode-invariant by construction, so the worker's
     # blocks-mode collection must equal a sequential fast-path one.
+    set_dispatch_mode("fast")
     assert preloaded == runner.collect_trace("li", N)
 
 
